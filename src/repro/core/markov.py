@@ -45,7 +45,33 @@ import numpy as np
 
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray
 
-__all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel"]
+__all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel", "gamma_from_parts"]
+
+
+def gamma_from_parts(
+    h0: FloatArray, F0: FloatArray, PE0: FloatArray, h2: FloatArray, F2: FloatArray, PE2: FloatArray
+) -> FloatArray:
+    """Eq. 11 elementwise from the raw transition inputs.
+
+    ``h0 = C + T`` and ``h2 = L + R + T`` are the two horizons, ``F0``/
+    ``PE0`` the future-lifetime CDF and partial expectation at ``h0``
+    and ``F2``/``PE2`` the unconditional ones at ``h2``.  The assembly
+    behind :meth:`MarkovIntervalModel.gamma_batch`, shared with the
+    lockstep solver's family kernels (:mod:`repro.core.lockstep`) so
+    both round identically.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # state-0 transitions: future-lifetime distribution at the age
+        f0 = np.clip(F0, 0.0, 1.0)
+        k02 = np.where(f0 > 0.0, np.minimum(PE0 / np.where(f0 > 0.0, f0, 1.0), h0), 0.0)
+        # state-2 transitions: unconditional distribution (fresh resource)
+        f2 = np.clip(F2, 0.0, 1.0)
+        k22 = np.where(f2 > 0.0, np.minimum(PE2 / np.where(f2 > 0.0, f2, 1.0), h2), 0.0)
+        p21 = 1.0 - f2
+        retry_cost = np.where(p21 > 0.0, k22 * f2 / np.where(p21 > 0.0, p21, 1.0) + h2, np.inf)
+        inner = (1.0 - f0) * h0 + f0 * (k02 + retry_cost)
+    out: FloatArray = np.where(f0 <= 0.0, h0, inner)
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,25 +226,14 @@ class MarkovIntervalModel:
         C, R, L = self.costs.checkpoint, self.costs.recovery, self.costs.latency
         horizon0 = C + Tarr
         horizon2 = L + R + Tarr
-
-        # state-0 transitions: future-lifetime distribution at `age`
-        f0 = np.clip(np.asarray(self._cond.cdf(horizon0), dtype=np.float64), 0.0, 1.0)
-        pe0 = np.asarray(self._cond.partial_expectation(horizon0), dtype=np.float64)
-        safe0 = np.where(f0 > 0.0, f0, 1.0)
-        k02 = np.where(f0 > 0.0, np.minimum(pe0 / safe0, horizon0), 0.0)
-
-        # state-2 transitions: unconditional distribution (fresh resource)
-        f2 = np.clip(np.asarray(self.distribution.cdf(horizon2), dtype=np.float64), 0.0, 1.0)
-        pe2 = np.asarray(self.distribution.partial_expectation(horizon2), dtype=np.float64)
-        safe2 = np.where(f2 > 0.0, f2, 1.0)
-        k22 = np.where(f2 > 0.0, np.minimum(pe2 / safe2, horizon2), 0.0)
-
-        p21 = 1.0 - f2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            retry_cost = np.where(p21 > 0.0, k22 * f2 / np.where(p21 > 0.0, p21, 1.0) + horizon2, np.inf)
-            inner = (1.0 - f0) * horizon0 + f0 * (k02 + retry_cost)
-        out: FloatArray = np.where(f0 <= 0.0, horizon0, inner)
-        return out
+        return gamma_from_parts(
+            horizon0,
+            np.asarray(self._cond.cdf(horizon0), dtype=np.float64),
+            np.asarray(self._cond.partial_expectation(horizon0), dtype=np.float64),
+            horizon2,
+            np.asarray(self.distribution.cdf(horizon2), dtype=np.float64),
+            np.asarray(self.distribution.partial_expectation(horizon2), dtype=np.float64),
+        )
 
     def overhead_ratio_batch(self, T: ArrayLike) -> FloatArray:
         """``Gamma(T) / T`` elementwise for a vector of candidates."""

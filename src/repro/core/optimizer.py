@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from repro.core.markov import CheckpointCosts, MarkovIntervalModel
 from repro.core.solver_cache import SolverCache, active_cache, use_solver_cache
-from repro.distributions.base import AvailabilityDistribution, FloatArray
+from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray
 from repro.numerics.optimize import minimize_positive_hybrid, minimize_positive_scalar
 
 __all__ = [
@@ -206,6 +206,22 @@ def optimize_interval(
     return opt
 
 
+def search_bound(mrl: ArrayLike, mean: Callable[[], ArrayLike]) -> FloatArray:
+    """The default search upper bound from a mean residual life, elementwise.
+
+    ``clamp(1e4 * mrl, 1e6, 1e9)``; where ``mrl`` is not finite and
+    positive, ``max(mean(), 1)`` stands in (``mean`` is called only
+    then: some families integrate for it).  Shared by
+    :func:`_resolve_t_max` and the lockstep kernels.
+    """
+    arr = np.asarray(mrl, dtype=np.float64)
+    usable = np.isfinite(arr) & (arr > 0.0)
+    if not usable.all():
+        arr = np.where(usable, arr, np.maximum(mean(), 1.0))
+    out: FloatArray = np.minimum(np.maximum(1e4 * arr, 1e6), 1e9)
+    return out
+
+
 def _resolve_t_max(
     distribution: AvailabilityDistribution,
     fingerprint: tuple[object, ...] | None,
@@ -226,10 +242,7 @@ def _resolve_t_max(
         cached = _TMAX_MEMO.get(memo_key)
         if cached is not None:
             return cached
-    mrl = float(distribution.mean_residual_life(age))
-    if not math.isfinite(mrl) or mrl <= 0.0:
-        mrl = max(distribution.mean(), 1.0)
-    t_max = min(max(1e4 * mrl, 1e6), 1e9)
+    t_max = float(search_bound(distribution.mean_residual_life(age), distribution.mean))
     if memo_key is not None:
         if len(_TMAX_MEMO) >= _TMAX_MEMO_CAPACITY:
             _TMAX_MEMO.clear()

@@ -29,7 +29,32 @@ from repro.distributions.exponential import Exponential
 from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 
-__all__ = ["CheckpointSchedule"]
+__all__ = ["CheckpointSchedule", "cycles_to_cover"]
+
+#: ceiling on :func:`cycles_to_cover` (exactly representable, so the
+#: integer cast never overflows however small the cycle)
+_MAX_COVER = float(1 << 53)
+
+
+def cycles_to_cover(
+    elapsed: float | np.ndarray, cycle: float | np.ndarray, horizon: float | np.ndarray
+) -> "np.ndarray[Any, np.dtype[np.int64]]":
+    """Further cycles of length ``cycle`` until ``elapsed`` exceeds ``horizon``.
+
+    The least ``n >= 0`` with ``elapsed + n * cycle > horizon``,
+    elementwise: ``0`` once the committed cycle time ``elapsed`` already
+    covers the horizon (the stop rule of both the replay's cycle table
+    and the lockstep solver), else the count of repeats of a settled
+    (periodic or converged) ``cycle`` still needed.  ``cycle`` must be
+    positive wherever the answer is non-zero.
+    """
+    gap = np.asarray(horizon, dtype=np.float64) - np.asarray(elapsed, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.floor(gap / np.asarray(cycle, dtype=np.float64)) + 1.0
+    out: np.ndarray[Any, np.dtype[np.int64]] = np.where(
+        gap < 0.0, 0.0, np.clip(n, 1.0, _MAX_COVER)
+    ).astype(np.int64)
+    return out
 
 
 class CheckpointSchedule:
@@ -118,19 +143,6 @@ class CheckpointSchedule:
             return []
         self._extend_to(n - 1)
         return [it.T_opt for it in self._intervals[:n]]
-
-    def interval_array(self, n: int) -> "np.ndarray[Any, np.dtype[np.float64]]":
-        """The first ``n`` work intervals as a float64 vector.
-
-        Bulk export for the batch replay kernel
-        (:mod:`repro.simulation.batch_replay`), which turns the prefix
-        into a cumulative cycle table ``t_k = sum_{j<k}(T_j + C + L)``
-        and resolves whole availability traces against it with one
-        ``searchsorted`` pass instead of per-event calls to
-        :meth:`work_interval`.  Lazy like :meth:`intervals`: only the
-        indices not yet materialised are solved.
-        """
-        return np.asarray(self.intervals(n), dtype=np.float64)
 
     def __iter__(self) -> Iterator[float]:
         i = 0

@@ -40,7 +40,19 @@ ArrayLike = float | int | FloatArray | list[float] | tuple[float, ...]
 #: array in, array out
 ScalarOrArray = float | FloatArray
 
-__all__ = ["AvailabilityDistribution", "ArrayLike", "FloatArray", "ScalarOrArray"]
+__all__ = ["AvailabilityDistribution", "ArrayLike", "FloatArray", "ScalarOrArray", "residual_life"]
+
+
+def residual_life(
+    mean: float | FloatArray, surv: FloatArray, pe: FloatArray, t: FloatArray
+) -> FloatArray:
+    """``E[X - t | X > t] = (E[X] - PE(t)) / S(t) - t`` elementwise from
+    the survival ``surv = S(t)`` and partial expectation ``pe = PE(t)``
+    (0 where ``S(t) = 0``); :meth:`AvailabilityDistribution.mean_residual_life`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(surv > 0.0, (mean - pe) / surv - t, 0.0)
+    res: FloatArray = np.maximum(out, 0.0)
+    return res
 
 
 def _prepare(x: ArrayLike) -> tuple[FloatArray, bool]:
@@ -194,9 +206,7 @@ class AvailabilityDistribution(abc.ABC):
         arr, scalar = _prepare(t)
         surv = np.asarray(self.sf(arr))
         pe = np.asarray(self.partial_expectation(arr))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(surv > 0.0, (self.mean() - pe) / surv - arr, 0.0)
-        return _finish(np.maximum(out, 0.0), scalar)
+        return _finish(residual_life(self.mean(), surv, pe, arr), scalar)
 
     def quantile(self, q: ArrayLike) -> ScalarOrArray:
         """Inverse CDF; the generic implementation bisects on ``cdf``."""

@@ -36,8 +36,9 @@ def exp_partial_expectation_one(lam: float, x: float) -> float:
     return inv - (x + inv) * math.exp(-u)
 
 
-def _exp_partial_expectation(lam: float, x: FloatArray) -> FloatArray:
-    """Vectorised, series-protected exponential partial expectation."""
+def _exp_partial_expectation(lam: float | FloatArray, x: FloatArray) -> FloatArray:
+    """Vectorised, series-protected exponential partial expectation
+    (``lam`` may be an array broadcasting against ``x``)."""
     xp = np.maximum(x, 0.0)
     u = lam * xp
     inv = 1.0 / lam

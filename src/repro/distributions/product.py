@@ -66,8 +66,11 @@ class ProductAvailability(AvailabilityDistribution):
         hazard = np.zeros(np.shape(x), dtype=np.float64)
         for m in self.members:
             hazard = hazard + np.asarray(m.hazard(x))
-        out = surv * hazard
-        return np.where(np.isfinite(out), out, 0.0)
+        # an infinite member hazard (e.g. a Weibull with shape < 1 at 0)
+        # contributes no density; masking it before the product keeps
+        # 0 * inf = NaN out of the vanished-survival region
+        finite = np.isfinite(hazard)
+        return np.where(finite, surv * np.where(finite, hazard, 0.0), 0.0)
 
     def cdf_one(self, x: float) -> float:
         if x <= 0.0:

@@ -14,9 +14,11 @@ batched array arithmetic with no per-event Python:
 2. **Precompute the schedule's cycle table.**  Each occupancy starts at
    uptime zero, so one schedule serves every interval.  The table
    ``cum[k] = sum_{j<k}(T_j + C + L)`` (work + transfer + commit
-   latency per committed cycle) is built once from
-   :meth:`~repro.core.schedule.CheckpointSchedule.interval_array`,
-   lazily doubled until it covers the longest post-recovery budget seen.
+   latency per committed cycle) is built once, from exactly the
+   schedule prefix the longest post-recovery budget reaches (see
+   :func:`_cycle_tables`); :func:`replay_batch` first solves those
+   prefixes for all its schedules in one lockstep pass
+   (:mod:`repro.core.lockstep`).
 3. **Resolve every interval with one ``searchsorted``.**  The number of
    committed cycles in an interval with post-recovery budget ``a'`` is
    ``searchsorted(cum, a', side='right') - 1``; the remainder
@@ -44,6 +46,8 @@ from typing import Any, Protocol, cast
 
 import numpy as np
 
+from repro.core.lockstep import solve_schedules
+from repro.core.schedule import CheckpointSchedule, cycles_to_cover
 from repro.obs.metrics import active as _metrics
 from repro.simulation.accounting import SimulationConfig, SimulationResult
 
@@ -58,6 +62,7 @@ __all__ = [
 
 FloatArray = np.ndarray[Any, np.dtype[np.float64]]
 IntArray = np.ndarray[Any, np.dtype[np.int64]]
+BoolArray = np.ndarray[Any, np.dtype[np.bool_]]
 
 #: Hard ceiling on cycle-table length (cycles), bounding table memory;
 #: reaching it means budgets dwarf the cycle length by ~7 orders of
@@ -100,32 +105,62 @@ def _cycle_tables(
         # every interval with a positive budget would commit cycle 0
         # without advancing time (the scalar loop's infinite spin)
         raise _no_progress_error(0, t_first, overhead)
-    # constant-interval schedules (the memoryless common case) make the
-    # guess exact; drifting schedules converge within a doubling or two
-    guess = int(max_budget / first_cycle) + 2
-    K = max(1, min(guess, MAX_TABLE_CYCLES))
-    prev_total = -np.inf
+    # a real schedule may solve every interval it is asked for, so it is
+    # extended one interval at a time and solves exactly the prefix the
+    # budget reaches (replay_batch has usually solved it in lockstep
+    # already); any other schedule's intervals are free, so its table
+    # doubles.  Once two consecutive intervals are identical the schedule
+    # has settled (memoryless or converged copies): the remaining cycles
+    # are counted in one jump, then checked against the table.  The
+    # running total adds cycle by cycle, so it equals the final cumsum.
+    exact = isinstance(schedule, CheckpointSchedule)
+    Ts: list[float] = []
+    total = 0.0
+    K = 1
     while True:
-        T = np.asarray(schedule.intervals(K), dtype=np.float64)
-        cyc = T + overhead
-        cum = np.empty(K + 1, dtype=np.float64)
-        cum[0] = 0.0
-        np.cumsum(cyc, out=cum[1:])
-        if cum[-1] > max_budget:
+        if exact:
+            new = [schedule.work_interval(i) for i in range(len(Ts), K)]
+        else:
+            new = schedule.intervals(K)[len(Ts) :]
+        for t in new:
+            total += t + overhead
+        Ts.extend(new)
+        if total > max_budget:
             break
-        if cum[-1] <= prev_total or K >= MAX_TABLE_CYCLES:
-            # doubling added no time: the schedule's tail cycles are all
-            # zero-length (or the table ceiling was hit) and the budget
-            # can never be covered
-            raise _no_progress_error(int(np.argmin(cyc)), float(T.min()), overhead)
-        prev_total = float(cum[-1])
-        K = min(K * 2, MAX_TABLE_CYCLES)
+        last = Ts[-1] + overhead
+        settled = K >= 2 and Ts[-1] == Ts[-2]
+        if K >= MAX_TABLE_CYCLES or (settled and last <= 0.0):
+            # the schedule's tail cycles are zero-length (or the table
+            # ceiling was hit) and the budget can never be covered
+            i = int(np.argmin(Ts))
+            raise _no_progress_error(i, float(Ts[i]), overhead)
+        if settled:
+            step = int(cycles_to_cover(total, last, max_budget))
+        else:
+            step = 1 if exact else K
+        K = min(K + step, MAX_TABLE_CYCLES)
+    T = np.asarray(Ts, dtype=np.float64)
+    cyc = T + overhead
+    cum = np.empty(K + 1, dtype=np.float64)
+    cum[0] = 0.0
+    np.cumsum(cyc, out=cum[1:])
     bad = np.flatnonzero(cyc <= 0.0)
     first_bad = int(bad[0]) if bad.size else -1
     cumT = np.empty(K + 1, dtype=np.float64)
     cumT[0] = 0.0
     np.cumsum(T, out=cumT[1:])
     return cum, T, cumT, first_bad
+
+
+def _budgets(a: FloatArray, config: SimulationConfig) -> tuple[BoolArray, FloatArray]:
+    """``(active, ap)``: which segments survive their recovery phase and
+    the post-recovery work budget of each (0 where recovery failed)."""
+    if not config.recover_on_start:
+        return np.ones(a.size, dtype=bool), a
+    R = config.effective_recovery_cost
+    active: BoolArray = R <= a
+    ap: FloatArray = np.where(active, a - R, 0.0)
+    return active, ap
 
 
 def _partial_mb_arr(
@@ -276,8 +311,8 @@ def replay_flat_pool(
         raise ValueError("availability durations must be non-negative and finite")
 
     # ---- recovery phase (vectorized over all segments) ---------------
+    active, ap = _budgets(a, config)
     if config.recover_on_start:
-        active = R <= a
         rec_ov_seg = np.where(active, R, a)
         rec_done_seg = active.astype(np.int64)
         if config.count_recovery_bandwidth:
@@ -286,21 +321,25 @@ def replay_flat_pool(
             )
         else:
             mb_rec_seg = np.zeros(S, dtype=np.float64)
-        ap = np.where(active, a - R, 0.0)
         rec_try_m = lengths.astype(np.float64)
     else:
-        active = np.ones(S, dtype=bool)
         rec_ov_seg = np.zeros(S, dtype=np.float64)
         rec_done_seg = np.zeros(S, dtype=np.int64)
         mb_rec_seg = np.zeros(S, dtype=np.float64)
-        ap = a
         rec_try_m = np.zeros(M, dtype=np.float64)
 
     # ---- work / checkpoint cycles: one searchsorted per pool ---------
     max_ap = float(ap.max()) if S else 0.0
     table_cycles = 0
+    table_s = 0.0
     if max_ap > 0.0:
+        # the table may still solve intervals the caller did not prefill
+        # (replay_batch solves them in lockstep first); that time belongs
+        # to the schedule layer, not to this kernel's timer
+        t_table = time.perf_counter() if reg is not None else 0.0
         cum, Tarr, cumT, first_bad = _cycle_tables(schedule, C + L, max_ap)
+        if reg is not None:
+            table_s = time.perf_counter() - t_table
         if first_bad >= 0 and bool(np.any(ap > cum[first_bad])):
             # the scalar loop raises when it *enters* a zero-length
             # cycle; an interval reaches cycle k when its budget
@@ -378,7 +417,7 @@ def replay_flat_pool(
     )
 
     if reg is not None:
-        wall = time.perf_counter() - t_wall
+        wall = time.perf_counter() - t_wall - table_s
         reg.inc("sim.replays", float(M))
         reg.inc("sim.machine_seconds", float(a.sum()))
         reg.inc("sim.checkpoints.attempted", float(try_m.sum()))
@@ -390,7 +429,6 @@ def replay_flat_pool(
         if table_cycles:
             reg.observe("sim.batch.table_cycles", float(table_cycles))
         reg.observe("sim.replay_seconds", wall)
-        reg.observe("sim.batch.replay_seconds", wall)
     return out
 
 
@@ -437,7 +475,11 @@ class BatchReplayItem:
 def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     """Replay heterogeneous items, vectorizing within groups.
 
-    Items sharing a schedule *and* a config object (identity, not
+    Every real :class:`~repro.core.schedule.CheckpointSchedule` among
+    the items first has the interval prefix its replays will read solved
+    in one lockstep pass (:func:`~repro.core.lockstep.solve_schedules`),
+    at the longest post-recovery budget any of its items carries.  Then
+    items sharing a schedule *and* a config object (identity, not
     equality: the pool runner builds exactly one of each per sweep
     point) are flattened into one kernel invocation; results come back
     in input order.
@@ -445,6 +487,15 @@ def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     groups: dict[tuple[int, int], list[int]] = {}
     for idx, item in enumerate(items):
         groups.setdefault((id(item.schedule), id(item.config)), []).append(idx)
+    schedules: list[CheckpointSchedule] = []
+    horizons: list[float] = []
+    for item in items:
+        if isinstance(item.schedule, CheckpointSchedule):
+            a = np.asarray(item.durations, dtype=np.float64).ravel()
+            if a.size:
+                schedules.append(item.schedule)
+                horizons.append(float(_budgets(a, item.config)[1].max()))
+    solve_schedules(schedules, horizons)
     out: list[SimulationResult | None] = [None] * len(items)
     for idxs in groups.values():
         first = items[idxs[0]]

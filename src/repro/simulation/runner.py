@@ -12,23 +12,22 @@ Table 3 (network load) protocol:
    per-(model, cost) vectors that the statistics layer turns into means,
    confidence intervals and paired significance tests.
 
-Machines are independent, so the sweep optionally fans out across
-processes (``n_workers``) with a plain ``ProcessPoolExecutor`` -- the
-work is CPU-bound interval optimisation, which releases no GIL.  The
-fan-out is two-phase: each machine's models are fitted exactly once (one
-fit task per machine), then every ``(machine, model)`` replay is
-dispatched as its own dynamically scheduled task carrying only the
-fitted distribution and the replay durations -- not the raw trace -- so
-slow replays (heavy-tailed fits solve many more schedules) no longer
-convoy behind a static chunk assignment.  Worker solver caches are
-shipped back and folded into the parent's, so later sweeps in the same
-process start warm; see ``docs/PERFORMANCE.md``.
+On the vectorized path every machine is fitted first and then all
+(machine, model, cost) replays go to one
+:func:`~repro.simulation.batch_replay.replay_batch` call, so the
+lockstep solver (:mod:`repro.core.lockstep`) advances every schedule of
+the sweep at once.  Machines are independent, so the sweep optionally
+fans out across processes (``n_workers``): each worker takes one
+round-robin shard of the machines and runs the same pipeline on it,
+shipping back its results and, when the parent collects them, its
+metrics and trace snapshots.  Results are reassembled in machine order,
+so a parallel sweep returns exactly what the serial one does.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from collections.abc import Sequence
 from typing import Any
@@ -36,7 +35,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.schedule import CheckpointSchedule
-from repro.core.solver_cache import active_cache as _active_cache
 from repro.distributions.base import AvailabilityDistribution
 from repro.distributions.fitting import MODEL_NAMES, fit_model
 from repro.obs.metrics import MetricsRegistry, active as _metrics, use as _use_metrics
@@ -139,62 +137,75 @@ def _batch_eligible(settings: SweepSettings) -> bool:
     )
 
 
-def _replay_model(
+def _sweep_items(
     dist: AvailabilityDistribution,
     replay: np.ndarray,
     machine_id: str,
     model_name: str,
     settings: SweepSettings,
-) -> list[SimulationResult]:
-    """Replay one fitted (machine, model) pair across the cost sweep."""
-    if _batch_eligible(settings):
-        # one schedule per sweep point, all replaying the same trace:
-        # the kernel vectorizes each point's replay over its intervals
-        items: list[BatchReplayItem] = []
-        for cost in settings.checkpoint_costs:
-            config = replace(settings.base_config, checkpoint_cost=float(cost))
-            schedule = CheckpointSchedule(
-                dist,
-                storage_schedule_costs(dist, config),
-                t_elapsed=0.0,
-                converge_rel_tol=config.schedule_converge_rel_tol,
-            )
-            items.append(
-                BatchReplayItem(
-                    schedule=schedule,
-                    durations=replay,
-                    config=config,
-                    machine_id=machine_id,
-                    model_name=model_name,
-                )
-            )
-        return replay_batch(items)
-    results: list[SimulationResult] = []
+) -> list[BatchReplayItem]:
+    """One batch-replay item per sweep cost for a fitted (machine, model)."""
+    items: list[BatchReplayItem] = []
     for cost in settings.checkpoint_costs:
         config = replace(settings.base_config, checkpoint_cost=float(cost))
-        results.append(
-            simulate_trace(
-                dist,
-                replay,
-                config,
+        schedule = CheckpointSchedule(
+            dist,
+            storage_schedule_costs(dist, config),
+            t_elapsed=0.0,
+            converge_rel_tol=config.schedule_converge_rel_tol,
+        )
+        items.append(
+            BatchReplayItem(
+                schedule=schedule,
+                durations=replay,
+                config=config,
                 machine_id=machine_id,
                 model_name=model_name,
             )
         )
-    return results
+    return items
+
+
+def _simulate_machines(
+    traces: Sequence[AvailabilityTrace], settings: SweepSettings
+) -> list[list[SimulationResult]]:
+    """Fit and replay a group of machines; one result list per machine.
+
+    On the vectorized path all fits come first and every replay of the
+    group is one :func:`replay_batch` call; otherwise each (model, cost)
+    runs through the scalar :func:`simulate_trace` loop.
+    """
+    fitted = [(trace, _fit_machine(trace, settings)) for trace in traces]
+    if not _batch_eligible(settings):
+        return [
+            [
+                simulate_trace(
+                    dist,
+                    _replay_durations(trace, settings),
+                    replace(settings.base_config, checkpoint_cost=float(cost)),
+                    machine_id=trace.machine_id,
+                    model_name=model_name,
+                )
+                for model_name, dist in fits
+                for cost in settings.checkpoint_costs
+            ]
+            for trace, fits in fitted
+        ]
+    items: list[BatchReplayItem] = []
+    for trace, fits in fitted:
+        replay = _replay_durations(trace, settings)
+        for model_name, dist in fits:
+            items.extend(_sweep_items(dist, replay, trace.machine_id, model_name, settings))
+    results = replay_batch(items)
+    per = len(settings.model_names) * len(settings.checkpoint_costs)
+    return [results[i * per : (i + 1) * per] for i in range(len(fitted))]
 
 
 def simulate_machine(
     trace: AvailabilityTrace, settings: SweepSettings
 ) -> list[SimulationResult]:
     """Fit models to one machine's training prefix and run its sweep."""
-    replay = _replay_durations(trace, settings)
-    results: list[SimulationResult] = []
-    for model_name, dist in _fit_machine(trace, settings):
-        results.extend(
-            _replay_model(dist, replay, trace.machine_id, model_name, settings)
-        )
-    return results
+    return _simulate_machines([trace], settings)[0]
 
 
 @dataclass(frozen=True)
@@ -236,51 +247,32 @@ class PoolSweep:
         return tuple(seen)
 
 
-def _fit_machine_star(
-    args: tuple[AvailabilityTrace, SweepSettings],
-) -> list[tuple[str, AvailabilityDistribution]]:
-    """Worker entry point for the fit phase: one machine, all models."""
-    trace, settings = args
-    return _fit_machine(trace, settings)
+def _shard_star(
+    args: tuple[list[AvailabilityTrace], SweepSettings, bool, bool],
+) -> tuple[list[list[SimulationResult]], dict[str, Any] | None, dict[str, Any] | None]:
+    """Worker entry point: one shard of machines through the serial
+    pipeline, plus (when the parent collects them) snapshots of the
+    metrics and trace events the work recorded.
 
-
-def _replay_model_star(
-    args: tuple[AvailabilityDistribution, np.ndarray, str, str, SweepSettings, bool, bool],
-) -> tuple[
-    list[SimulationResult],
-    dict[str, Any] | None,
-    dict[str, Any] | None,
-    dict[str, Any] | None,
-]:
-    """Worker entry point for the replay phase: one fitted (machine,
-    model) pair across the cost sweep, plus (when the parent is
-    collecting metrics and/or a trace) snapshots of what the work
-    recorded.
-
-    Worker processes do not inherit the parent's registry, recorder or
-    solver cache, so each call records into private metrics/trace sinks
-    and ships their ``as_dict()`` back with the results; the worker's
-    process-global solver cache is snapshot too, so the parent's cache
-    ends a sweep holding every solve done anywhere in the fan-out.
+    Worker processes do not inherit the parent's registry or recorder,
+    so the shard records into private sinks and ships their
+    ``as_dict()`` back with the results.
     """
-    dist, replay, machine_id, model_name, settings, collect_metrics, collect_trace = args
+    traces, settings, collect_metrics, collect_trace = args
     metrics_snapshot: dict[str, Any] | None = None
     trace_snapshot: dict[str, Any] | None = None
     if not collect_metrics and not collect_trace:
-        results = _replay_model(dist, replay, machine_id, model_name, settings)
-    else:
-        with _use_metrics() as reg:
-            if collect_trace:
-                with _use_trace() as rec:
-                    results = _replay_model(dist, replay, machine_id, model_name, settings)
-                trace_snapshot = rec.as_dict()
-            else:
-                results = _replay_model(dist, replay, machine_id, model_name, settings)
-        if collect_metrics:
-            metrics_snapshot = reg.as_dict()
-    cache = _active_cache()
-    cache_snapshot = cache.as_dict() if cache is not None else None
-    return results, metrics_snapshot, trace_snapshot, cache_snapshot
+        return _simulate_machines(traces, settings), None, None
+    with _use_metrics() as reg:
+        if collect_trace:
+            with _use_trace() as rec:
+                results = _simulate_machines(traces, settings)
+            trace_snapshot = rec.as_dict()
+        else:
+            results = _simulate_machines(traces, settings)
+    if collect_metrics:
+        metrics_snapshot = reg.as_dict()
+    return results, metrics_snapshot, trace_snapshot
 
 
 def simulate_pool(
@@ -291,70 +283,42 @@ def simulate_pool(
 ) -> PoolSweep:
     """Run the full sweep over a machine pool.
 
-    ``n_workers=None`` or ``1`` runs serially; larger values fan machines
-    out across processes.  When a metrics registry is active (see
-    :mod:`repro.obs`), per-worker registries are merged back into it so
-    fan-out is invisible in the run report.
+    ``n_workers=None`` or ``1`` runs serially; larger values split the
+    machines round-robin into one shard per worker process.  When a
+    metrics registry or trace recorder is active (see :mod:`repro.obs`),
+    the workers' snapshots are merged back into it, so fan-out is
+    invisible in the run report.
     """
     if settings is None:
         settings = SweepSettings()
     traces = list(pool)
-    all_results: list[SimulationResult] = []
     parent_reg: MetricsRegistry | None = _metrics()
     parent_trace: TraceRecorder | None = _trace_active()
     if parent_reg is not None:
         parent_reg.inc("sim.pool.sweeps")
         parent_reg.inc("sim.pool.machines", len(traces))
-    parent_cache = _active_cache()
-    if n_workers and n_workers > 1 and len(traces) > 1:
-        if parent_reg is not None:
-            parent_reg.set_gauge("sim.pool.workers", n_workers)
-        collect = (parent_reg is not None, parent_trace is not None)
-        with ProcessPoolExecutor(max_workers=n_workers) as pool_exec:
-            # phase 1: one fit task per machine.  Each fit is submitted
-            # individually (dynamic dispatch, no static chunks) so an
-            # expensive EM fit on one machine never delays the replays
-            # of machines that finished fitting early: phase 2 tasks for
-            # a machine are enqueued the moment its fits complete.
-            fit_futures: dict[Future[list[tuple[str, AvailabilityDistribution]]], int] = {
-                pool_exec.submit(_fit_machine_star, (t, settings)): i
-                for i, t in enumerate(traces)
-            }
-            replay_futures: dict[tuple[int, int], Future[Any]] = {}
-            pending = set(fit_futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    mi = fit_futures[fut]
-                    trace = traces[mi]
-                    replay = _replay_durations(trace, settings)
-                    for mj, (model_name, dist) in enumerate(fut.result()):
-                        replay_futures[(mi, mj)] = pool_exec.submit(
-                            _replay_model_star,
-                            (dist, replay, trace.machine_id, model_name, settings, *collect),
-                        )
-            # collect in deterministic (machine, model) order so results
-            # and snapshot merges are independent of worker scheduling
-            for mi in range(len(traces)):
-                for mj in range(len(settings.model_names)):
-                    chunk, metrics_snapshot, trace_snapshot, cache_snapshot = (
-                        replay_futures[(mi, mj)].result()
-                    )
-                    all_results.extend(chunk)
-                    if metrics_snapshot is not None and parent_reg is not None:
-                        parent_reg.merge_dict(metrics_snapshot)
-                    if trace_snapshot is not None and parent_trace is not None:
-                        parent_trace.merge_dict(trace_snapshot)
-                    if cache_snapshot is not None and parent_cache is not None:
-                        # traffic stats stay out: each worker snapshot is
-                        # cumulative over its process lifetime, so adding
-                        # them per task would multi-count, and the hit /
-                        # miss counters already arrive via the metrics
-                        # snapshot above
-                        parent_cache.merge_dict(cache_snapshot, stats=False)
-    else:
+    n_shards = min(n_workers or 1, len(traces))
+    if n_shards <= 1:
         if parent_reg is not None:
             parent_reg.set_gauge("sim.pool.workers", 1)
-        for trace in traces:
-            all_results.extend(simulate_machine(trace, settings))
-    return PoolSweep(settings=settings, results=tuple(all_results))
+        per_machine = _simulate_machines(traces, settings)
+    else:
+        if parent_reg is not None:
+            parent_reg.set_gauge("sim.pool.workers", n_shards)
+        collect = (parent_reg is not None, parent_trace is not None)
+        shards = [traces[i::n_shards] for i in range(n_shards)]
+        per_machine = [[] for _ in traces]
+        with ProcessPoolExecutor(max_workers=n_shards) as pool_exec:
+            futures = [
+                pool_exec.submit(_shard_star, (shard, settings, *collect)) for shard in shards
+            ]
+            # merge in shard order so snapshots fold deterministically
+            for i, fut in enumerate(futures):
+                chunk, metrics_snapshot, trace_snapshot = fut.result()
+                per_machine[i::n_shards] = chunk
+                if metrics_snapshot is not None and parent_reg is not None:
+                    parent_reg.merge_dict(metrics_snapshot)
+                if trace_snapshot is not None and parent_trace is not None:
+                    parent_trace.merge_dict(trace_snapshot)
+    results = tuple(r for machine in per_machine for r in machine)
+    return PoolSweep(settings=settings, results=results)

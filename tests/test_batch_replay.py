@@ -26,6 +26,7 @@ from repro.simulation import (
     replay_schedule_batch,
     simulate_pool,
 )
+from repro.simulation import batch_replay
 from repro.storage.policy import StoragePolicy
 from repro.traces.model import AvailabilityTrace
 
@@ -384,7 +385,8 @@ class TestRunnerIntegration:
         assert counters["sim.batch.segments"] > 0
         assert counters["sim.replays"] > 0
         assert snap["histograms"]["sim.replay_seconds"]["count"] > 0
-        assert snap["histograms"]["sim.batch.replay_seconds"]["count"] > 0
+        assert snap["histograms"]["schedule.lockstep.seconds"]["count"] == 1
+        assert "sim.batch.replay_seconds" not in snap["histograms"]
 
 
 class TestKernelMetrics:
@@ -402,3 +404,64 @@ class TestKernelMetrics:
         )
         assert counters["sim.batch.machines"] == 2
         assert counters["sim.batch.segments"] == 3
+
+
+class TestCycleTableTrim:
+    """The cycle table solves exactly the schedule prefix the longest
+    budget reaches: one interval at a time while the schedule moves,
+    then free converged/periodic copies."""
+
+    COSTS = CheckpointCosts.symmetric(50.0)
+    CFG = SimulationConfig(checkpoint_cost=50.0, recovery_cost=50.0)
+
+    def _needed(self, budget):
+        twin = CheckpointSchedule(Weibull(0.6, 2000.0), self.COSTS, converge_rel_tol=1e-3)
+        cum, k = 0.0, 0
+        while cum <= budget and twin._converged_at is None:
+            cum += twin.work_interval(k) + 50.0
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("budget", [10.0, 4e3, 3e4, 2e6])
+    def test_weibull_replay_solves_exactly_the_needed_prefix(self, budget):
+        durations = np.array([budget + 50.0, 0.5 * budget + 50.0])
+        needed = self._needed(budget)
+        for replay in (
+            lambda s: replay_schedule_batch(s, [durations], self.CFG),
+            lambda s: replay_batch([BatchReplayItem(s, durations, self.CFG)]),
+        ):
+            sched = CheckpointSchedule(Weibull(0.6, 2000.0), self.COSTS, converge_rel_tol=1e-3)
+            with use_metrics() as reg:
+                replay(sched)
+            assert reg.as_dict()["counters"]["schedule.solves"] == needed
+
+    class Drifting:
+        """A stub whose intervals never repeat exactly (free to fetch)."""
+
+        def __init__(self, step):
+            self.step = step
+            self.calls = 0
+
+        def intervals(self, n):
+            self.calls += 1
+            return [100.0 + self.step * i for i in range(n)]
+
+        def expected_efficiency(self, i=0):
+            return 1.0
+
+    def test_never_repeating_stub_doubles_to_a_large_budget(self):
+        sched = self.Drifting(1e-6)
+        budget = 5e7  # ~4.5e5 cycles of ~110 s
+        cum, T, cumT, first_bad = batch_replay._cycle_tables(sched, 10.0, budget)
+        assert sched.calls <= 22
+        assert cum[-1] > budget and first_bad == -1
+        assert T.tolist() == sched.intervals(T.size)
+        assert np.array_equal(cum[1:], np.cumsum(T + 10.0))
+        assert np.array_equal(cumT[1:], np.cumsum(T))
+
+    def test_never_repeating_stub_hits_the_table_ceiling_quickly(self, monkeypatch):
+        monkeypatch.setattr(batch_replay, "MAX_TABLE_CYCLES", 1 << 12)
+        sched = self.Drifting(1e-9)
+        with pytest.raises(ValueError, match="degenerate schedule"):
+            batch_replay._cycle_tables(sched, 10.0, 1e9)
+        assert sched.calls <= 14
