@@ -1,9 +1,10 @@
 """``repro lint`` — the command-line front end of reprolint.
 
-Exit codes follow the usual linter convention: ``0`` clean (or every
-finding covered by the baseline), ``1`` when new findings were emitted,
-``2`` on usage errors (unknown rule code, malformed ``[tool.reprolint]``
-table, no files matched, bad baseline file).
+Findings print one per line as ``path:line:col: CODE message``,
+followed by a one-line summary.  Exit codes follow the usual linter
+convention: ``0`` clean, ``1`` when findings were emitted, ``2`` on
+usage errors (unknown rule code, malformed ``[tool.reprolint]`` table,
+no files matched).
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from repro.analysis.baseline import Baseline, write_baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.config import LintConfig, load_config
 from repro.analysis.engine import lint_project
-from repro.analysis.output import FORMATS, render_findings
 from repro.analysis.rules import PROJECT_REGISTRY, REGISTRY
 
 __all__ = ["build_parser", "main"]
@@ -63,37 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore [tool.reprolint] in pyproject.toml",
     )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=FORMATS,
-        default="text",
-        help="output format (default: text; sarif is SARIF 2.1.0)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="write the rendered findings to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="subtract the findings recorded in this baseline file; only new findings fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=None,
-        help="incremental result cache file; unchanged files are not re-analysed",
-    )
     return parser
 
 
@@ -136,7 +103,6 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
             config = load_config(Path(args.paths[0]) if args.paths else None, known)
         select = _parse_codes(args.select, known, "--select")
         disable = _parse_codes(args.disable, known, "--disable")
-        baseline = Baseline.load(Path(args.baseline)) if args.baseline else None
     except ValueError as exc:
         print(f"repro lint: error: {exc}", file=sink)
         return 2
@@ -149,51 +115,20 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
             overrides=config.overrides,
         )
     paths = args.paths or list(config.default_paths)
-    cache = None
-    if args.cache:
-        cache = LintCache.open(Path(args.cache), config=config, rule_codes=sorted(known))
-    run = lint_project(paths, config=config, cache=cache)
-    if cache is not None:
-        cache.save()
+    run = lint_project(paths, config=config)
     if not run.files:
         print(f"repro lint: error: no Python files under {paths}", file=sink)
         return 2
-    if args.write_baseline:
-        count = write_baseline(Path(args.write_baseline), run.findings)
+    for finding in run.findings:
+        print(finding.render(), file=sink)
+    if run.findings:
         print(
-            f"repro lint: wrote baseline {args.write_baseline} "
-            f"({count} entr{'y' if count == 1 else 'ies'} covering {len(run.findings)} finding(s))",
+            f"repro lint: {len(run.findings)} finding(s) in {len(run.files)} file(s)",
             file=sink,
         )
-        return 0
-    findings = run.findings
-    stale_notes: list[str] = []
-    if baseline is not None:
-        findings, stale = baseline.apply(findings)
-        stale_notes = [
-            f"repro lint: note: stale baseline entry {entry.path}: {entry.code} {entry.message!r}"
-            for entry in stale
-        ]
-    rendered = render_findings(findings, args.fmt)
-    if args.output:
-        Path(args.output).write_text(
-            rendered + ("\n" if rendered and not rendered.endswith("\n") else ""),
-            encoding="utf-8",
-        )
-    elif rendered:
-        print(rendered, file=sink)
-    if args.fmt == "text" or args.output:
-        for note in stale_notes:
-            print(note, file=sink)
-        reused = f", {run.reused} reused from cache" if cache is not None else ""
-        if findings:
-            print(
-                f"repro lint: {len(findings)} finding(s) in {len(run.files)} file(s){reused}",
-                file=sink,
-            )
-        else:
-            print(f"repro lint: clean ({len(run.files)} file(s){reused})", file=sink)
-    return 1 if findings else 0
+        return 1
+    print(f"repro lint: clean ({len(run.files)} file(s))", file=sink)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
-from repro.analysis.cache import LintCache, file_digest
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.analysis.project import (
@@ -162,8 +161,6 @@ class LintRun:
 
     findings: list[Finding] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)
-    #: files whose per-file results came straight from the cache
-    reused: int = 0
 
 
 def _index_rest_of_src(
@@ -218,15 +215,12 @@ def lint_project(
     config: LintConfig | None = None,
     rules: Iterable[Rule] | None = None,
     project_rules: Iterable[ProjectRule] | None = None,
-    cache: LintCache | None = None,
 ) -> LintRun:
     """Run the full two-tier analysis: per-file rules, then project passes.
 
-    Per-file work (parse, rules, index extraction) is served from
-    ``cache`` for files whose content hash matches; project passes run
-    unconditionally over the assembled :class:`ProjectContext` -- they
-    are cheap once every index is in hand, and their findings depend on
-    cross-file state no single entry could key.
+    Each linted file is parsed once; its AST feeds both the per-file
+    rules and the :class:`FileIndex` the project passes read from the
+    assembled :class:`ProjectContext`.
     """
     config = config or LintConfig()
     rule_list = tuple(rules) if rules is not None else REGISTRY
@@ -246,28 +240,18 @@ def lint_project(
         posix = path.as_posix()
         source = path.read_text(encoding="utf-8")
         sources[posix] = source
-        digest = file_digest(source)
-        if cache is not None:
-            entry = cache.lookup(posix, digest)
-            if entry is not None:
-                run.findings.extend(entry.findings)
-                if entry.index is not None:
-                    indexes[posix] = entry.index
-                run.reused += 1
-                continue
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            parse_finding = Finding(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {exc.msg}",
+            run.findings.append(
+                Finding(
+                    path=str(path),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    code=PARSE_ERROR_CODE,
+                    message=f"file does not parse: {exc.msg}",
+                )
             )
-            run.findings.append(parse_finding)
-            if cache is not None:
-                cache.store(posix, digest, [parse_finding], None)
             continue
         module = ModuleContext(
             path=str(path),
@@ -276,19 +260,13 @@ def lint_project(
             source_lines=tuple(source.splitlines()),
         )
         suppressions = _suppressions(source)
-        file_findings: list[Finding] = []
         for rule in rule_list:
             if not config.rule_enabled(rule.code, posix) or not rule.applies_to(posix):
                 continue
             for finding in rule.check(module):
                 if not _suppressed(finding, suppressions):
-                    file_findings.append(finding)
-        file_findings.sort()
-        run.findings.extend(file_findings)
-        index = extract_file_index(module)
-        indexes[posix] = index
-        if cache is not None:
-            cache.store(posix, digest, file_findings, index)
+                    run.findings.append(finding)
+        indexes[posix] = extract_file_index(module)
 
     _index_rest_of_src(root, run.files, config, indexes, sources)
     project = ProjectContext(root=root, indexes=indexes)

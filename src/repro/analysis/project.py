@@ -10,9 +10,7 @@ need:
 * :class:`FileIndex` -- the per-file facts a project pass consumes
   (function definitions with their call sites and blocking-primitive
   call sites, metric-name string literals, import aliases).  Extraction
-  is a single AST walk per file and the result is JSON-serialisable, so
-  the incremental result cache can carry it across runs and a warm lint
-  re-parses only edited files.
+  is a single AST walk per file and the result is JSON-serialisable.
 * :class:`ProjectContext` -- the union of every indexed file plus
   lazily-read project documents (``docs/OBSERVABILITY.md`` and friends)
   and on-demand module parsing for passes that need a real AST of one
@@ -42,10 +40,6 @@ __all__ = [
     "extract_file_index",
     "find_project_root",
 ]
-
-#: version stamp folded into the incremental cache signature -- bump when
-#: the extraction below learns new facts, so stale indexes are discarded
-INDEX_VERSION = 1
 
 #: dotted call names that block the calling thread (and therefore the
 #: event loop, when reached from a coroutine).  Values are the phrasing

@@ -8,12 +8,12 @@ blows up because a failure before ``L + R + T`` becomes certain -- so an
 interior minimum exists whenever the availability distribution has
 unbounded support.
 
-Two solvers locate it:
+Two solvers locate it, selected process-wide with :func:`use_solver`:
 
-* ``method="golden"`` -- bracketing plus Golden Section Search, exactly
-  the method the paper cites from Numerical Recipes; kept as the
-  reference implementation and the benchmark baseline.
-* ``method="hybrid"`` (the default) -- the vectorised golden/Brent
+* ``"golden"`` -- bracketing plus Golden Section Search, exactly the
+  method the paper cites from Numerical Recipes; kept as the test
+  oracle and the benchmark baseline.
+* ``"hybrid"`` (the default) -- the vectorised golden/Brent
   hybrid of :func:`repro.numerics.optimize.minimize_positive_hybrid`:
   one batched grid pass through
   :meth:`~repro.core.markov.MarkovIntervalModel.overhead_ratio_batch`
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -49,10 +49,15 @@ __all__ = [
     "young_approximation",
 ]
 
-#: solver methods accepted by :func:`optimize_interval`
+#: solver methods accepted by :func:`use_solver`
 _METHODS = ("hybrid", "golden")
 
 _default_method = "hybrid"
+
+#: default search floor and bracket tolerance of :func:`optimize_interval`,
+#: which :func:`optimize_intervals_batch` always uses
+_T_MIN = 1e-3
+_REL_TOL = 1e-6
 
 #: memo of the default ``t_max`` bound per (fingerprint, age) -- a pure
 #: function of its key, recomputed identically on any miss, so clearing
@@ -73,6 +78,9 @@ def use_solver(
     cache: SolverCache | None | bool = True,
 ) -> Iterator[None]:
     """Temporarily override the process solver defaults.
+
+    This is the only way to pick the solver: ``method="golden"`` swaps
+    in the reference oracle for equivalence tests and benchmarks.
 
     Parameters
     ----------
@@ -130,11 +138,10 @@ def optimize_interval(
     costs: CheckpointCosts,
     *,
     age: float = 0.0,
-    t_min: float = 1e-3,
+    t_min: float = _T_MIN,
     t_max: float | None = None,
-    rel_tol: float = 1e-6,
+    rel_tol: float = _REL_TOL,
     warm_start: float | None = None,
-    method: str | None = None,
 ) -> OptimalInterval:
     """Compute ``T_opt`` for a distribution, cost set and elapsed uptime.
 
@@ -149,9 +156,9 @@ def optimize_interval(
         (ignored by the memoryless exponential).
     t_min, t_max:
         Search bounds for the work interval.  ``t_max`` defaults to
-        ``1e4`` times the mean residual life (capped at ``1e9`` s), wide
-        enough that the heavy-tailed optima of the paper's traces are
-        interior.
+        ``clamp(1e4 * MRL, 1e6, 1e9)`` seconds, where MRL is the mean
+        residual life at ``age`` (see :func:`search_bound`): wide enough
+        that the heavy-tailed optima of the paper's traces are interior.
     rel_tol:
         Relative tolerance of the bracket refinement.
     warm_start:
@@ -160,15 +167,10 @@ def optimize_interval(
         scan.  Correctness is unaffected: if the narrow bracket's
         refinement would hit an edge, the solver falls back to the full
         cold path.
-    method:
-        ``"hybrid"`` (vectorised golden/Brent, the default) or
-        ``"golden"`` (the paper's reference path); ``None`` uses the
-        process default (see :func:`use_solver`).
+
+    The solver is the process default (see :func:`use_solver`).
     """
-    if method is None:
-        method = _default_method
-    elif method not in _METHODS:
-        raise ValueError(f"unknown solver method: {method!r}")
+    method = _default_method
     cache = active_cache()
     fingerprint = distribution.fingerprint() if cache is not None else None
     if t_max is None:
@@ -305,12 +307,7 @@ def _solve_interior(
 def optimize_intervals_batch(
     distribution: AvailabilityDistribution,
     costs: CheckpointCosts,
-    ages: "Iterable[float]",
-    *,
-    t_min: float = 1e-3,
-    t_max: float | None = None,
-    rel_tol: float = 1e-6,
-    method: str | None = None,
+    ages: Iterable[float],
 ) -> list[OptimalInterval]:
     """Solve one (distribution, costs) pair at many elapsed uptimes.
 
@@ -325,19 +322,16 @@ overhead_ratio_batch` grid evaluation plus Brent refinement) rather
     than a golden-section evaluation chain.
 
     Every returned interval is **bitwise identical** to what the scalar
-    :func:`optimize_interval` returns for the same arguments: distinct
+    :func:`optimize_interval` returns with its default settings: distinct
     ages build the same cache key and run the same warm-start-free cold
     solve (:func:`_solve_interior`) -- only the shared distribution
-    fingerprint and bound resolution are hoisted out of the loop -- and
-    duplicates reuse the identical result object.  The equivalence
-    suite (``tests/test_serve_equivalence.py``) gates this.
+    fingerprint is hoisted out of the loop -- and duplicates reuse the
+    identical result object.  The equivalence suite
+    (``tests/test_serve_equivalence.py``) gates this.
 
     Results are returned in input order.
     """
-    if method is None:
-        method = _default_method
-    elif method not in _METHODS:
-        raise ValueError(f"unknown solver method: {method!r}")
+    method = _default_method
     cache = active_cache()
     # the whole batch shares one distribution: hoist the fingerprint (and
     # the per-age cache key construction) out of optimize_interval so a
@@ -349,7 +343,8 @@ overhead_ratio_batch` grid evaluation plus Brent refinement) rather
         a = float(age)
         opt = resolved.get(a)
         if opt is None:
-            bound = t_max if t_max is not None else _resolve_t_max(distribution, fingerprint, a)
+            t_max = _resolve_t_max(distribution, fingerprint, a)
+            key = None
             if cache is not None:
                 key = SolverCache.key(
                     fingerprint,
@@ -357,33 +352,24 @@ overhead_ratio_batch` grid evaluation plus Brent refinement) rather
                     costs.recovery,
                     costs.latency,
                     a,
-                    t_min,
-                    bound,
-                    rel_tol,
+                    _T_MIN,
+                    t_max,
+                    _REL_TOL,
                     method,
                 )
                 opt = cache.get(key)
-                if opt is None:
-                    opt = _solve_interior(
-                        distribution,
-                        costs,
-                        age=a,
-                        t_min=t_min,
-                        t_max=bound,
-                        rel_tol=rel_tol,
-                        method=method,
-                    )
-                    cache.put(key, opt)
-            else:
+            if opt is None:
                 opt = _solve_interior(
                     distribution,
                     costs,
                     age=a,
-                    t_min=t_min,
-                    t_max=bound,
-                    rel_tol=rel_tol,
+                    t_min=_T_MIN,
+                    t_max=t_max,
+                    rel_tol=_REL_TOL,
                     method=method,
                 )
+                if cache is not None and key is not None:
+                    cache.put(key, opt)
             resolved[a] = opt
         out.append(opt)
     return out

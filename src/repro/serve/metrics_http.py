@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
+import socket
 from collections.abc import Awaitable, Callable
 from typing import Any, TypeVar, cast
 
@@ -72,6 +73,7 @@ class MetricsHttpEndpoint:
             host=self.host,
             port=self.config_port,
             limit=_MAX_HEADER_BYTES,
+            backlog=socket.SOMAXCONN,
         )
         sockets = self._server.sockets
         if sockets:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import socket
 import time
 from dataclasses import dataclass
 from typing import Any, TextIO
@@ -131,8 +132,6 @@ class ServerConfig:
     max_batch: int = 256
     snapshot_path: str | None = None
     snapshot_interval_s: float = 30.0
-    t_min: float = 1e-3
-    rel_tol: float = 1e-6
     metrics_port: int | None = None
     slow_request_s: float = 1.0
     max_inflight: int | None = None
@@ -167,10 +166,6 @@ class ServerConfig:
             raise ValueError(
                 f"snapshot interval must be positive, got {self.snapshot_interval_s}"
             )
-        if self.t_min <= 0:
-            raise ValueError(f"t_min must be positive, got {self.t_min}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 class ScheduleServer:
@@ -478,12 +473,7 @@ class ScheduleServer:
                 "bad-request", "a solve needs a 'pool' name or an inline 'model'"
             )
         query = SolveQuery(
-            distribution=distribution,
-            costs=costs,
-            age=float(age),
-            t_min=self.config.t_min,
-            rel_tol=self.config.rel_tol,
-            tenant=tenant,
+            distribution=distribution, costs=costs, age=float(age), tenant=tenant
         )
         result = await self.batcher.submit(query)
         return ok_response(request_id, result=interval_to_payload(result))
@@ -685,6 +675,9 @@ class ScheduleServer:
             port=self.config.port,
             limit=MAX_LINE_BYTES + 1024,
             reuse_port=self.config.reuse_port or None,
+            # asyncio's default backlog of 100 drops the SYNs of a larger
+            # connect burst, and the kernel only retries them after ~1 s
+            backlog=socket.SOMAXCONN,
         )
         sockets = self._server.sockets
         if sockets:

@@ -173,6 +173,7 @@ async def _worker_async(
         host=config.host,
         port=0,
         limit=MAX_LINE_BYTES + 1024,
+        backlog=socket.SOMAXCONN,
     )
     sockets = control.sockets
     control_port = int(sockets[0].getsockname()[1]) if sockets else 0

@@ -34,6 +34,20 @@ class TestLintCli:
         assert f"{bad}:2:" in out and "RL002" in out
         assert "1 finding(s)" in out
 
+    def test_text_renders_one_line_per_finding(self, tmp_path):
+        bad = tmp_path / "core" / "mod.py"
+        bad.parent.mkdir()
+        bad.write_text(
+            "def f(x: float):\n    return x == 0.0\n\n\ndef g(y: float):\n    return y != 1.5\n"
+        )
+        code, out = run_lint(str(tmp_path), "--no-config", "--select", "RL002")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith(f"{bad}:2:11: RL002 ")
+        assert lines[1].startswith(f"{bad}:6:11: RL002 ")
+        assert lines[2] == "repro lint: 2 finding(s) in 1 file(s)"
+
     def test_select_and_disable_flags(self, tmp_path):
         bad = tmp_path / "core" / "mod.py"
         bad.parent.mkdir()

@@ -3,6 +3,8 @@
 import asyncio
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +43,6 @@ class TestConfig:
             {"batch_window_s": -0.1},
             {"max_batch": 0},
             {"snapshot_interval_s": 0.0},
-            {"t_min": 0.0},
-            {"rel_tol": -1.0},
         ],
     )
     def test_bad_values_rejected(self, overrides):
@@ -432,6 +432,41 @@ class TestSnapshotLifecycle:
             assert fresh.hits == 1
             assert fresh.misses == 0
 
+    def test_committed_snapshot_warm_loads_and_serves_all_hits(self):
+        """A snapshot written by an earlier release keeps answering from cache.
+
+        The fixture holds the demo pools solved at four ages each, saved
+        when solve requests still carried ``t_min``/``rel_tol``/``method``
+        settings.  Its keys must still match what the server builds, so
+        replaying the same stream is all hits with unchanged answers.
+        """
+        path = Path(__file__).parent / "data" / "solver_cache_snapshot_v1.json"
+        stored = json.loads(path.read_text())["entries"]
+        with use_solver_cache(SolverCache()) as fresh:
+            server = _server(snapshot_path=str(path))
+            assert server.warm_load() == len(stored) == 12
+            responses = [
+                _ask(server, {"op": "solve", "pool": pool, "age": age})
+                for pool in ("campus-exp", "campus-hyper2", "campus-weibull")
+                for age in (0.0, 250.0, 3600.0, 86400.0)
+            ]
+            assert fresh.hits == len(stored)
+            assert fresh.misses == 0
+            assert len(fresh) == len(stored)
+        served = sorted(r["result"]["T_opt"] for r in responses)
+        assert served == sorted(value["T_opt"] for _, value in stored)
+        # and today's cold solves reproduce the stored answers bit for bit
+        registry = demo_registry()
+        with use_solver_cache(None):
+            cold = sorted(
+                optimize_interval(
+                    registry.get(pool).distribution, registry.get(pool).costs, age=age
+                ).T_opt
+                for pool in ("campus-exp", "campus-hyper2", "campus-weibull")
+                for age in (0.0, 250.0, 3600.0, 86400.0)
+            )
+        assert cold == served
+
     def test_snapshot_op_explicit_path(self, tmp_path):
         path = str(tmp_path / "explicit.json")
         with use_solver_cache(SolverCache()):
@@ -572,6 +607,39 @@ class TestTCP:
         counters = reg.as_dict()["counters"]
         assert counters["serve.connections.opened"] == 1.0
         assert counters["serve.connections.closed"] == 1.0
+
+    def test_connect_storm_is_not_throttled_by_the_listen_backlog(self):
+        """256 clients connecting at once all get through without SYN retries.
+
+        With asyncio's default listen backlog of 100 the kernel drops the
+        excess SYNs of such a burst and the clients only retry after about
+        one second, so the storm takes over 1 s instead of a few ms.
+        """
+        clients = 256
+
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "ping", "id": 1}\n')
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        async def session():
+            server = _server()
+            await server.start()
+            started = time.perf_counter()
+            responses = await asyncio.gather(*(client(server.port) for _ in range(clients)))
+            elapsed = time.perf_counter() - started
+            await server.stop()
+            return responses, elapsed
+
+        with use_solver_cache(SolverCache()):
+            responses, elapsed = asyncio.run(session())
+        assert len(responses) == clients
+        assert all(r["pong"] is True for r in responses)
+        assert elapsed < 0.5, f"{clients} connects took {elapsed:.2f} s"
 
 
 class TestStdio:
