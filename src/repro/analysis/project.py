@@ -10,7 +10,7 @@ need:
 * :class:`FileIndex` -- the per-file facts a project pass consumes
   (function definitions with their call sites and blocking-primitive
   call sites, metric-name string literals, import aliases).  Extraction
-  is a single AST walk per file and the result is JSON-serialisable.
+  is a single AST walk per file.
 * :class:`ProjectContext` -- the union of every indexed file plus
   lazily-read project documents (``docs/OBSERVABILITY.md`` and friends)
   and on-demand module parsing for passes that need a real AST of one
@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from repro.analysis.module import ModuleContext, dotted_name
 
@@ -94,18 +93,6 @@ class CallSite:
     col: int
     note: str = ""  #: for blocking sites: why the call blocks
 
-    def to_json(self) -> dict[str, Any]:
-        return {"name": self.name, "line": self.line, "col": self.col, "note": self.note}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CallSite":
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            note=str(data.get("note", "")),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -122,27 +109,6 @@ class FunctionInfo:
     def name(self) -> str:
         return self.qualname.rsplit(".", maxsplit=1)[-1]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "col": self.col,
-            "is_async": self.is_async,
-            "calls": [c.to_json() for c in self.calls],
-            "blocking": [c.to_json() for c in self.blocking],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            is_async=bool(data["is_async"]),
-            calls=tuple(CallSite.from_json(c) for c in data["calls"]),
-            blocking=tuple(CallSite.from_json(c) for c in data["blocking"]),
-        )
-
 
 @dataclass(frozen=True)
 class MetricSite:
@@ -156,13 +122,6 @@ class MetricSite:
     line: int
     col: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {"pattern": self.pattern, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "MetricSite":
-        return cls(pattern=str(data["pattern"]), line=int(data["line"]), col=int(data["col"]))
-
 
 @dataclass(frozen=True)
 class FileIndex:
@@ -174,25 +133,6 @@ class FileIndex:
     metric_sites: tuple[MetricSite, ...]
     #: ``from M import N [as A]`` aliases: local name -> "module:name"
     imports: tuple[tuple[str, str], ...] = ()
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "posix_path": self.posix_path,
-            "display_path": self.display_path,
-            "functions": [f.to_json() for f in self.functions],
-            "metric_sites": [m.to_json() for m in self.metric_sites],
-            "imports": [list(pair) for pair in self.imports],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FileIndex":
-        return cls(
-            posix_path=str(data["posix_path"]),
-            display_path=str(data["display_path"]),
-            functions=tuple(FunctionInfo.from_json(f) for f in data["functions"]),
-            metric_sites=tuple(MetricSite.from_json(m) for m in data["metric_sites"]),
-            imports=tuple((str(a), str(b)) for a, b in data.get("imports", [])),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,12 @@ Family kernels (struct-of-arrays parameters, one row per lane):
 
 Schedules of any other family are left to the lazy chain.
 
+:func:`solve_intervals` runs that step once for one model and cost
+set at many ages, each a cold lane (no warm seed; fallback lanes take
+the uncached scalar solve): ``repro serve``'s
+:func:`~repro.core.optimizer.optimize_intervals_batch` sends it a wide
+group's cache misses.
+
 A lane stops when its schedule converges (``converge_rel_tol``) or when
 its committed cycles cover the lane's horizon (the longest replay
 budget the schedule will see, see
@@ -37,7 +43,8 @@ lanes deep in the tail (``S(age) < 1e-9``, where the conditional
 partial expectation needs quadrature), take
 :func:`~repro.core.optimizer.optimize_interval` for that step -- the
 lazy chain's own solve.  The lazy chain is the oracle:
-``tests/test_lockstep.py`` pins every interval to <= 1e-9 relative.
+``tests/test_lockstep.py`` and ``tests/test_serve_equivalence.py`` pin
+every interval to it.
 
 The results are bit-identical to the lazy chain, not merely close:
 deep in a heavy tail the objective is so flat that a last-bit change in
@@ -61,15 +68,17 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import special
 
-from repro.core.markov import gamma_from_parts
+from repro.core.markov import CheckpointCosts, gamma_from_parts
 from repro.core.optimizer import (
+    _T_MIN,
     OptimalInterval,
+    _solve_interior,
     default_solver_method,
     optimize_interval,
     search_bound,
 )
 from repro.core.schedule import CheckpointSchedule, cycles_to_cover
-from repro.distributions.base import FloatArray, residual_life
+from repro.distributions.base import AvailabilityDistribution, FloatArray, residual_life
 from repro.distributions.conditional import _DEEP_TAIL_SURV
 from repro.distributions.exponential import (
     Exponential,
@@ -80,7 +89,7 @@ from repro.distributions.hyperexponential import Hyperexponential
 from repro.distributions.weibull import Weibull
 from repro.obs.metrics import active as _metrics
 
-__all__ = ["solve_schedules"]
+__all__ = ["has_kernel", "solve_intervals", "solve_schedules"]
 
 IntArray = NDArray[np.int64]
 BoolArray = NDArray[np.bool_]
@@ -136,11 +145,13 @@ class _Kernel:
     ``F``/``PE`` values.
     """
 
-    def __init__(self, schedules: Sequence[CheckpointSchedule]) -> None:
-        self.dists = [s.distribution for s in schedules]
-        self.C_all = np.array([s.costs.checkpoint for s in schedules])
-        self.R_all = np.array([s.costs.recovery for s in schedules])
-        self.L_all = np.array([s.costs.latency for s in schedules])
+    def __init__(
+        self, dists: Sequence[AvailabilityDistribution], costs: Sequence[CheckpointCosts]
+    ) -> None:
+        self.dists = dists
+        self.C_all = np.array([c.checkpoint for c in costs])
+        self.R_all = np.array([c.recovery for c in costs])
+        self.L_all = np.array([c.latency for c in costs])
         self.lanes = np.empty(0, dtype=np.int64)
         self.age = np.empty(0)
         self.C = self.R = self.L = self.age
@@ -185,8 +196,10 @@ class _Kernel:
 
 
 class _ExponentialKernel(_Kernel):
-    def __init__(self, schedules: Sequence[CheckpointSchedule]) -> None:
-        super().__init__(schedules)
+    def __init__(
+        self, dists: Sequence[AvailabilityDistribution], costs: Sequence[CheckpointCosts]
+    ) -> None:
+        super().__init__(dists, costs)
         self.lam_all = np.array([d.lam for d in self.dists])  # type: ignore[attr-defined]
         self.lam = self.lam_all
 
@@ -214,8 +227,10 @@ class _ExponentialKernel(_Kernel):
 class _HyperexponentialKernel(_Kernel):
     """Lanes of one phase count ``k`` (parameters ``(n, k)``)."""
 
-    def __init__(self, schedules: Sequence[CheckpointSchedule]) -> None:
-        super().__init__(schedules)
+    def __init__(
+        self, dists: Sequence[AvailabilityDistribution], costs: Sequence[CheckpointCosts]
+    ) -> None:
+        super().__init__(dists, costs)
         self.P_all = np.array([d.probs for d in self.dists])  # type: ignore[attr-defined]
         self.lam_all = np.array([d.rates for d in self.dists])  # type: ignore[attr-defined]
         self.mean_all = np.array([d.mean() for d in self.dists])
@@ -279,8 +294,10 @@ class _WeibullKernel(_Kernel):
     At age 0 the constants ``(S, F, PE)(a)`` are exactly ``(1, 0, 0)``,
     which reduces both to the base family's values bit for bit."""
 
-    def __init__(self, schedules: Sequence[CheckpointSchedule]) -> None:
-        super().__init__(schedules)
+    def __init__(
+        self, dists: Sequence[AvailabilityDistribution], costs: Sequence[CheckpointCosts]
+    ) -> None:
+        super().__init__(dists, costs)
         self.shape_all = np.array([d.shape for d in self.dists])  # type: ignore[attr-defined]
         self.scale_all = np.array([d.scale for d in self.dists])  # type: ignore[attr-defined]
         self.mean_all = np.array([d.mean() for d in self.dists])
@@ -500,16 +517,112 @@ def _hybrid(
 
 
 # ----------------------------------------------------------------------
-# advancing the chains
+# one solve per lane: the step both entry points share
 # ----------------------------------------------------------------------
 
 
-#: the kernel for each family :func:`solve_schedules` advances
+#: the kernel for each family the lockstep solves
 _KERNELS: dict[type, type[_Kernel]] = {
     Exponential: _ExponentialKernel,
     Weibull: _WeibullKernel,
     Hyperexponential: _HyperexponentialKernel,
 }
+
+
+def has_kernel(distribution: AvailabilityDistribution) -> bool:
+    """Whether the lockstep can solve ``distribution``'s family."""
+    return type(distribution) in _KERNELS
+
+
+def _step(
+    kernel: _Kernel,
+    act: IntArray,
+    ages: FloatArray,
+    lo: FloatArray,
+    hi: FloatArray,
+    warm: FloatArray,
+    fallback: Callable[[int, float], OptimalInterval],
+) -> tuple[list[OptimalInterval], FloatArray]:
+    """Solve kernel lanes ``act`` at ``ages`` within ``[lo, hi]``.
+
+    ``hi`` is NaN where the lane takes the default bound
+    (:meth:`_Kernel.t_max`) and ``warm`` where it has no seed (a cold
+    solve).  Lanes the kernel cannot finish go to ``fallback(lane,
+    age)``, the scalar solve.  Returns the intervals and their ``T_opt``.
+    """
+    kernel.begin(act, ages)
+    if np.isnan(hi).any():
+        hi = np.where(np.isnan(hi), kernel.t_max(), hi)
+    x, fx, conv, fallback_lane = _hybrid(kernel, warm, lo, hi, kernel.deep())
+    T = np.clip(x, lo, hi)
+    good = np.flatnonzero(~fallback_lane)
+    g = np.zeros(act.size)
+    if good.size:
+        g[good] = kernel.gamma(good, T[good, None], True)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eff = np.where(np.isfinite(g) & (g > 0.0), T / g, 0.0)
+    rows = zip(
+        act.tolist(), ages.tolist(), T.tolist(), g.tolist(), fx.tolist(),
+        eff.tolist(), conv.tolist(), fallback_lane.tolist(), strict=True,
+    )
+    out: list[OptimalInterval] = []
+    for j, (lane, a, t, gj, fj, ej, cj, fb) in enumerate(rows):
+        if fb:
+            opt = fallback(lane, a)
+            T[j] = opt.T_opt
+        else:
+            opt = OptimalInterval(
+                T_opt=t, gamma=gj, overhead_ratio=fj, expected_efficiency=ej,
+                age=a, converged=cj,
+            )
+        out.append(opt)
+    return out, T
+
+
+def solve_intervals(
+    distribution: AvailabilityDistribution,
+    costs: CheckpointCosts,
+    ages: Sequence[float],
+    t_max: Sequence[float],
+) -> list[OptimalInterval]:
+    """Cold ``T_opt`` solves of one model and cost set at many ages at once.
+
+    Interval ``i`` is bit-identical to the uncached
+    ``optimize_interval(distribution, costs, age=ages[i],
+    t_max=t_max[i])`` under the hybrid solver: one lockstep step with
+    every age a lane.  The caller resolves the bounds (the cache key
+    needs them anyway) and owns caching: the solver cache is neither
+    read nor written here.  ``distribution`` must have a kernel
+    (:func:`has_kernel`).  Records ``opt.lockstep.lanes`` and
+    ``opt.lockstep.seconds``.
+    """
+    n = len(ages)
+    if n == 0:
+        return []
+    wall0 = time.perf_counter()
+    kernel = _KERNELS[type(distribution)]([distribution] * n, [costs] * n)
+    hi = np.asarray(t_max, dtype=np.float64)
+
+    def scalar(lane: int, age: float) -> OptimalInterval:
+        return _solve_interior(
+            distribution, costs, age=age, t_min=_T_MIN, t_max=float(hi[lane]),
+            rel_tol=_REL_TOL, method="hybrid",
+        )
+
+    out, _T = _step(
+        kernel, np.arange(n), np.asarray(ages, dtype=np.float64), np.full(n, _T_MIN), hi,
+        np.full(n, math.nan), scalar,
+    )
+    reg = _metrics()
+    if reg is not None:
+        reg.inc("opt.lockstep.lanes", float(n))
+        reg.observe("opt.lockstep.seconds", time.perf_counter() - wall0)
+    return out
+
+
+# ----------------------------------------------------------------------
+# advancing the chains
+# ----------------------------------------------------------------------
 
 
 def _kernel_groups(
@@ -534,7 +647,7 @@ def _run_chains(
 ) -> int:
     """Advance one kernel's lanes to their stops; returns the step count."""
     n = len(lanes)
-    kernel = kind(lanes)
+    kernel = kind([s.distribution for s in lanes], [s.costs for s in lanes])
     overhead = np.array([s.costs.checkpoint + s.costs.latency for s in lanes])
     t_min = np.array([s._t_min for s in lanes], dtype=np.float64)
     t_max = np.array([math.nan if s._t_max is None else s._t_max for s in lanes])
@@ -554,6 +667,15 @@ def _run_chains(
             age[i] = s._ages[-1] + prev[-1] + kernel.C_all[i] + kernel.L_all[i]
         else:
             age[i] = s.t_elapsed + (s.costs.recovery if s.include_recovery_age else 0.0)
+
+    def lazy_solve(lane: int, a: float) -> OptimalInterval:
+        # the lazy chain's own solve, seeded like it
+        s, seed = lanes[lane], warm[lane]
+        return optimize_interval(
+            s.distribution, s.costs, age=a, t_min=s._t_min, t_max=s._t_max,
+            warm_start=None if math.isnan(seed) else float(seed),
+        )
+
     alive = np.ones(n, dtype=bool)
     steps = 0
     while alive.any():
@@ -561,37 +683,10 @@ def _run_chains(
         ages = age[act]
         if not np.all(np.isfinite(ages)):  # pragma: no cover - defensive
             raise OverflowError("schedule age overflowed")
-        kernel.begin(act, ages)
-        lo = t_min[act]
-        hi = np.where(np.isnan(t_max[act]), kernel.t_max(), t_max[act])
-        x, fx, conv, fallback = _hybrid(kernel, warm[act], lo, hi, kernel.deep())
-        T = np.clip(x, lo, hi)
-        good = np.flatnonzero(~fallback)
-        g = np.zeros(act.size)
-        if good.size:
-            g[good] = kernel.gamma(good, T[good, None], True)[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eff = np.where(np.isfinite(g) & (g > 0.0), T / g, 0.0)
-        rows = zip(
-            act.tolist(), ages.tolist(), T.tolist(), g.tolist(), fx.tolist(),
-            eff.tolist(), conv.tolist(), fallback.tolist(), strict=True,
-        )
-        for j, (lane, a, t, gj, fj, ej, cj, fb) in enumerate(rows):
-            s = lanes[lane]
-            if fb:
-                seed = warm[lane]
-                opt = optimize_interval(
-                    s.distribution, s.costs, age=a, t_min=s._t_min, t_max=s._t_max,
-                    warm_start=None if math.isnan(seed) else float(seed),
-                )
-                T[j] = opt.T_opt
-            else:
-                opt = OptimalInterval(
-                    T_opt=t, gamma=gj, overhead_ratio=fj, expected_efficiency=ej,
-                    age=a, converged=cj,
-                )
-            s._intervals.append(opt)
-            s._ages.append(a)
+        opts, T = _step(kernel, act, ages, t_min[act], t_max[act], warm[act], lazy_solve)
+        for lane, a, opt in zip(act.tolist(), ages.tolist(), opts, strict=True):
+            lanes[lane]._intervals.append(opt)
+            lanes[lane]._ages.append(a)
         prev = warm[act]
         settled = np.abs(T - prev) <= tol[act] * prev  # NaN seed or tol: False
         for lane in act[settled].tolist():
@@ -618,8 +713,8 @@ def solve_schedules(
     ``sum_{j<=k} (T_j + C + L)`` exceed it, or earlier when the
     schedule converges.  Intervals already materialised are kept and
     the chain resumes after them.  The results are written into each
-    schedule (``interval(i)`` then answers without solving) and agree
-    with the lazy scalar chain to <= 1e-9 relative.
+    schedule (``interval(i)`` then answers without solving) and are
+    bit-identical to the lazy scalar chain's.
 
     Only exponential, Weibull and hyperexponential schedules have a
     kernel; schedules of other families are left to the lazy chain, as
@@ -645,7 +740,7 @@ def solve_schedules(
         if s._intervals and not done:
             cyc = np.array([it.T_opt for it in s._intervals]) + (s.costs.checkpoint + s.costs.latency)
             done = bool(cycles_to_cover(float(np.cumsum(cyc)[-1]), float(cyc[-1]), h) == 0)
-        if not done and math.isfinite(h) and type(s.distribution) in _KERNELS:
+        if not done and math.isfinite(h) and has_kernel(s.distribution):
             lanes.append(s)
             lane_h.append(h)
     if not lanes:

@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.core.markov import CheckpointCosts, MarkovIntervalModel
-from repro.core.solver_cache import SolverCache, active_cache, use_solver_cache
+from repro.core.solver_cache import SolverCache, SolverCacheKey, active_cache, use_solver_cache
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray
 from repro.numerics.optimize import minimize_positive_hybrid, minimize_positive_scalar
 
@@ -58,6 +58,12 @@ _default_method = "hybrid"
 #: which :func:`optimize_intervals_batch` always uses
 _T_MIN = 1e-3
 _REL_TOL = 1e-6
+
+#: fewest cache misses in one :func:`optimize_intervals_batch` call that
+#: are solved in one lockstep call rather than one scalar solve each:
+#: the lockstep's per-call cost (~3-5 ms of array set-up and masked
+#: steps) pays off from about this width (docs/PERFORMANCE.md)
+_LOCKSTEP_MIN_LANES = 8
 
 #: memo of the default ``t_max`` bound per (fingerprint, age) -- a pure
 #: function of its key, recomputed identically on any miss, so clearing
@@ -316,18 +322,22 @@ def optimize_intervals_batch(
     model and cost set collapses to **one solve per distinct age** --
     duplicate ages (the common case for a pool manager polling many
     machines at the same bucketed uptime) are answered from the first
-    solve of the burst, and each distinct age takes a single vectorised
-    hybrid pass (one :meth:`~repro.core.markov.MarkovIntervalModel.\
-overhead_ratio_batch` grid evaluation plus Brent refinement) rather
-    than a golden-section evaluation chain.
+    solve of the burst.  Each distinct age probes the solver cache once;
+    the misses are then solved together: at least
+    ``_LOCKSTEP_MIN_LANES`` of them under the hybrid solver, of a family
+    with a lockstep kernel, take one vectorised
+    :func:`~repro.core.lockstep.solve_intervals` call, and fewer take
+    one scalar hybrid solve (:func:`_solve_interior`) each.
 
     Every returned interval is **bitwise identical** to what the scalar
     :func:`optimize_interval` returns with its default settings: distinct
-    ages build the same cache key and run the same warm-start-free cold
-    solve (:func:`_solve_interior`) -- only the shared distribution
-    fingerprint is hoisted out of the loop -- and duplicates reuse the
-    identical result object.  The equivalence suite
-    (``tests/test_serve_equivalence.py``) gates this.
+    ages build the same cache key and get the same warm-start-free cold
+    solve -- only the shared distribution fingerprint is hoisted out of
+    the loop -- and duplicates reuse the identical result object.  A
+    distinct age whose cache key an earlier miss of the batch already
+    holds (ages equal to the key's rounding) shares that miss's solve
+    and is then probed like the sequential loop's hit.  The equivalence
+    suite (``tests/test_serve_equivalence.py``) gates this.
 
     Results are returned in input order.
     """
@@ -337,39 +347,68 @@ overhead_ratio_batch` grid evaluation plus Brent refinement) rather
     # the per-age cache key construction) out of optimize_interval so a
     # burst of cache hits costs one dict probe per distinct age
     fingerprint = distribution.fingerprint() if cache is not None else None
+    ages = [float(age) for age in ages]
     resolved: dict[float, OptimalInterval] = {}
-    out: list[OptimalInterval] = []
-    for age in ages:
-        a = float(age)
-        opt = resolved.get(a)
-        if opt is None:
-            t_max = _resolve_t_max(distribution, fingerprint, a)
-            key = None
-            if cache is not None:
-                key = SolverCache.key(
-                    fingerprint,
-                    costs.checkpoint,
-                    costs.recovery,
-                    costs.latency,
-                    a,
-                    _T_MIN,
-                    t_max,
-                    _REL_TOL,
-                    method,
-                )
-                opt = cache.get(key)
-            if opt is None:
-                opt = _solve_interior(
-                    distribution,
-                    costs,
-                    age=a,
-                    t_min=_T_MIN,
-                    t_max=t_max,
-                    rel_tol=_REL_TOL,
-                    method=method,
-                )
-                if cache is not None and key is not None:
-                    cache.put(key, opt)
-            resolved[a] = opt
-        out.append(opt)
-    return out
+    # distinct cache-missed ages -> (t_max, cache key)
+    misses: dict[float, tuple[float, SolverCacheKey | None]] = {}
+    # cache key of each miss -> its age; ages whose key a miss holds
+    held: dict[SolverCacheKey, float] = {}
+    shared: dict[float, SolverCacheKey] = {}
+    for a in ages:
+        if a in resolved or a in misses or a in shared:
+            continue
+        t_max = _resolve_t_max(distribution, fingerprint, a)
+        key = None
+        if cache is not None:
+            key = SolverCache.key(
+                fingerprint,
+                costs.checkpoint,
+                costs.recovery,
+                costs.latency,
+                a,
+                _T_MIN,
+                t_max,
+                _REL_TOL,
+                method,
+            )
+            if key in held:  # probed after the puts, as a sequential loop would hit
+                shared[a] = key
+                continue
+            opt = cache.get(key)
+            if opt is not None:
+                resolved[a] = opt
+                continue
+            held[key] = a
+        misses[a] = (t_max, key)
+
+    solved: list[OptimalInterval] | None = None
+    if method == "hybrid" and len(misses) >= _LOCKSTEP_MIN_LANES:
+        # deferred: repro.core.lockstep imports this module
+        from repro.core.lockstep import has_kernel, solve_intervals
+
+        if has_kernel(distribution):
+            bounds = [t_max for t_max, _key in misses.values()]
+            solved = solve_intervals(distribution, costs, list(misses), bounds)
+    if solved is None:
+        solved = [
+            _solve_interior(
+                distribution,
+                costs,
+                age=a,
+                t_min=_T_MIN,
+                t_max=t_max,
+                rel_tol=_REL_TOL,
+                method=method,
+            )
+            for a, (t_max, _key) in misses.items()
+        ]
+    for (a, (_t_max, key)), opt in zip(misses.items(), solved, strict=True):
+        if cache is not None and key is not None:
+            cache.put(key, opt)
+        resolved[a] = opt
+    for a, key in shared.items():
+        hit = cache.get(key) if cache is not None else None
+        # None only if this batch's own puts evicted it (a cache smaller
+        # than the batch)
+        resolved[a] = hit if hit is not None else resolved[held[key]]
+    return [resolved[a] for a in ages]

@@ -55,17 +55,24 @@ class EMResult:
     restarts_used: int
 
 
-def _log_likelihood(probs: FloatArray, rates: FloatArray, x: FloatArray, cens: npt.NDArray[np.bool_]) -> float:
-    # stable mixture log-likelihood via log-sum-exp
+def _e_step(
+    x: FloatArray, cens: npt.NDArray[np.bool_], probs: FloatArray, rates: FloatArray
+) -> tuple[FloatArray, float]:
+    """Responsibilities at ``(probs, rates)`` and the mixture
+    log-likelihood there, both from one log-sum-exp over the
+    per-phase log densities (survival terms for censored rows)."""
     with np.errstate(divide="ignore"):
         log_p = np.log(probs)
         log_lam = np.log(rates)
-    expo = -np.multiply.outer(x, rates)  # (n, k)
-    comp = log_p + expo
-    comp_unc = comp + log_lam
-    logs = np.where(cens[:, None], comp, comp_unc)
-    m = logs.max(axis=1, keepdims=True)
-    return float(np.sum(m.ravel() + np.log(np.sum(np.exp(logs - m), axis=1))))
+    comp = log_p - np.multiply.outer(x, rates)
+    comp = np.where(cens[:, None], comp, comp + log_lam)
+    m = comp.max(axis=1, keepdims=True)
+    comp -= m
+    resp = np.exp(comp)
+    total = resp.sum(axis=1, keepdims=True)
+    ll = float(np.sum(m.ravel() + np.log(total.ravel())))
+    resp /= total
+    return resp, ll
 
 
 def _quantile_init(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,21 +100,11 @@ def _em_iterate(
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    ll_prev = _log_likelihood(probs, rates, x, cens)
+    resp, ll_prev = _e_step(x, cens, probs, rates)
     n = x.size
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        # E-step: responsibilities in log space
-        with np.errstate(divide="ignore"):
-            log_p = np.log(probs)
-            log_lam = np.log(rates)
-        comp = log_p - np.multiply.outer(x, rates)
-        comp = np.where(cens[:, None], comp, comp + log_lam)
-        comp -= comp.max(axis=1, keepdims=True)
-        resp = np.exp(comp)
-        resp /= resp.sum(axis=1, keepdims=True)
-
         # M-step
         nk = resp.sum(axis=0)
         probs_new = nk / n
@@ -124,7 +121,9 @@ def _em_iterate(
             probs_new = np.where(dead, 1e-300, probs_new)
             probs_new /= probs_new.sum()
         probs, rates = probs_new, rates_new
-        ll = _log_likelihood(probs, rates, x, cens)
+        # the next iteration's E-step: its log-sum-exp is the new
+        # parameters' log-likelihood
+        resp, ll = _e_step(x, cens, probs, rates)
         if ll + 1e-9 < ll_prev:  # EM must ascend up to round-off
             break
         if abs(ll - ll_prev) <= tol * (1.0 + abs(ll)):

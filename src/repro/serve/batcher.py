@@ -13,16 +13,20 @@ fingerprint and cost triple -- and each group is
 dispatched through one
 :func:`~repro.core.optimizer.optimize_intervals_batch` call: duplicate
 ages inside a group collapse to a single solve (the dominant effect for
-a pool manager polling a fleet at bucketed uptimes), and each distinct
-age costs one vectorised hybrid pass.  Results are therefore **bitwise
-identical** to per-request scalar solves; batching only changes *when*
-and *how often* the solver runs, never what it returns.
+a pool manager polling a fleet at bucketed uptimes), each distinct age
+probes the solver cache once, and the misses cost one scalar hybrid
+solve each -- or, eight or more of them, one lockstep call together
+(:func:`~repro.core.lockstep.solve_intervals`).  Results are therefore
+**bitwise identical** to per-request scalar solves; batching only
+changes *when* and *how often* the solver runs, never what it returns.
 
 Solving happens on the event loop, not in a worker thread: the
 process-global :class:`~repro.core.solver_cache.SolverCache` and the
 metrics registry are single-threaded by design, and a grouped solve is
-short (microseconds when cached, a few ms cold).  The batching window
-bounds how much solve work a single flush can accumulate.
+short (microseconds when cached, a few ms cold; a burst's wide cold
+group costs one lockstep call rather than a chain of scalar solves).
+The batching window bounds how much solve work a single flush can
+accumulate.
 
 Counters: ``serve.batch.count`` / ``serve.batch.size`` /
 ``serve.batch.groups`` / ``serve.batch.collapsed``; one

@@ -123,3 +123,56 @@ class TestMergeDuplicates:
     def test_no_merge_when_distinct(self):
         p, r = _merge_duplicate_rates(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
         assert len(r) == 2
+
+
+def _pinned_data(censored):
+    """400 draws of a 3-phase mixture; optionally right-censored at 20000 s."""
+    rng = np.random.default_rng(2005)
+    true = Hyperexponential([0.55, 0.3, 0.15], [1.0 / 200.0, 1.0 / 4000.0, 1.0 / 40000.0])
+    x = true.sample(400, rng)
+    if not censored:
+        return x, None
+    cap = 20000.0
+    return np.minimum(x, cap), x >= cap
+
+
+#: (censored, k) -> (probs, rates, log_likelihood, iterations, converged,
+#: restarts_used), as float.hex so the pin is exact
+_PINNED = {
+    (False, 2): (
+        ["0x1.7724b65180090p-2", "0x1.446da4d73ffb8p-1"],
+        ["0x1.a0783b749b58dp-15", "0x1.1ee200156f9b1p-8"],
+        "-0x1.afc61452659f3p+11", 16, True, 1,
+    ),
+    (False, 3): (
+        ["0x1.1af0fa5a1d85cp-3", "0x1.22bd6de163d0dp-2", "0x1.27e50a78c6b64p-1"],
+        ["0x1.7893a357dfe51p-16", "0x1.d8733ec003cd6p-13", "0x1.5d249153101ebp-8"],
+        "-0x1.ab15be57cbcdep+11", 72, True, 0,
+    ),
+    (True, 2): (
+        ["0x1.8e1ddaed43545p-2", "0x1.38f112895e55ep-1"],
+        ["0x1.6531025881dcap-14", "0x1.3a989ffd4830ep-8"],
+        "-0x1.7566b8a8475b9p+11", 18, True, 2,
+    ),
+    (True, 3): (
+        ["0x1.93dad29c803aap-4", "0x1.48a7d46c73a21p-2", "0x1.2930bb763627ap-1"],
+        ["0x1.66690b924a851p-18", "0x1.9cfc24f1ac2e6p-13", "0x1.5adae7fb323d2p-8"],
+        "-0x1.73ca0d41be27ep+11", 500, False, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("censored,k", sorted(_PINNED))
+def test_em_result_pinned_exactly(censored, k):
+    """Every EMResult field, bit for bit: the E-step, the log-likelihood
+    it feeds and the early-stop rules may be restructured, never moved
+    (the (True, 3) case runs to the iteration cap)."""
+    x, cens = _pinned_data(censored)
+    res = fit_hyperexponential(x, k=k, censored=cens)
+    probs, rates, ll, iterations, converged, restarts = _PINNED[(censored, k)]
+    assert [float(v).hex() for v in res.distribution.probs] == probs
+    assert [float(v).hex() for v in res.distribution.rates] == rates
+    assert float(res.log_likelihood).hex() == ll
+    assert res.iterations == iterations
+    assert res.converged is converged
+    assert res.restarts_used == restarts
