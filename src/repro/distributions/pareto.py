@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize as spo
 
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
 
@@ -171,6 +170,8 @@ def fit_pareto(
         ll += n_obs * (math.log(a) - math.log(lam)) - (a + 1.0) * float(np.sum(u[~cens]))
         ll += -a * float(np.sum(u[cens]))
         return -ll
+
+    from scipy import optimize as spo  # first use only: it is a heavy import
 
     res = spo.minimize(
         neg_ll,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 __all__ = ["MeanCI", "mean_ci"]
 
@@ -53,5 +53,6 @@ def mean_ci(values, level: float = 0.95) -> MeanCI:
     if n == 1:
         return MeanCI(mean=m, half_width=math.inf, n=1, level=level)
     sem = float(np.std(x, ddof=1)) / math.sqrt(n)
-    t_crit = float(sps.t.ppf(0.5 + level / 2.0, df=n - 1))
+    # the Student-t quantile; bit-equal to scipy.stats.t.ppf without loading scipy.stats
+    t_crit = float(special.stdtrit(n - 1, 0.5 + level / 2.0))
     return MeanCI(mean=m, half_width=t_crit * sem, n=n, level=level)

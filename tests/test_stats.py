@@ -1,5 +1,7 @@
 """Tests for CIs, paired t-tests and significance markers."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -68,6 +70,39 @@ class TestPairedTTest:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             paired_ttest([1.0], [2.0])
+
+
+class TestStudentTBits:
+    """The t quantile and tail are pinned bit for bit to ``scipy.stats.t``.
+
+    ``mean_ci`` and ``paired_ttest`` call ``scipy.special`` directly so
+    that importing them does not load ``scipy.stats``; these references
+    recompute each result through ``scipy.stats.t`` instead.
+    """
+
+    DFS = range(1, 199)
+
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_half_width_matches_t_ppf(self, level):
+        rng = np.random.default_rng(11)
+        for df in self.DFS:
+            x = rng.normal(3.0, 2.0, size=df + 1)
+            sem = float(np.std(x, ddof=1)) / math.sqrt(x.size)
+            ref = float(sps.t.ppf(0.5 + level / 2.0, df=df)) * sem
+            assert mean_ci(x, level=level).half_width == ref, df
+
+    @pytest.mark.parametrize("t_target", [0.0, 0.3, 1.7, 4.2, 11.0, 1e3])
+    def test_p_value_matches_t_sf(self, t_target):
+        rng = np.random.default_rng(12)
+        for df in self.DFS:
+            n = df + 1
+            z = rng.normal(size=n)
+            z = (z - z.mean()) / z.std(ddof=1)
+            a = rng.normal(5.0, 1.0, size=n)
+            r = paired_ttest(a + z + t_target / math.sqrt(n), a)
+            assert abs(r.t_statistic) == pytest.approx(t_target, abs=1e-6, rel=1e-6)
+            ref = 2.0 * float(sps.t.sf(abs(r.t_statistic), df=df))
+            assert r.p_value == ref, df
 
 
 class TestSignificanceMarkers:
